@@ -167,8 +167,8 @@ func TestAccuracyPropertySBM(t *testing.T) {
 
 // TestAccuracyVariants holds the layout- and precision-aware engines to the
 // same guarantees as the baseline: every combination of build-time ordering
-// (degree, BFS, hub/spoke), index precision (float64, float32) and kernel
-// tiling must meet the Theorem-2 bound against exact RWR on the ORIGINAL
+// (degree, BFS, hub/spoke) and index precision (float64, float32) must
+// meet the Theorem-2 bound against exact RWR on the ORIGINAL
 // (external-id) graph — within explicit float32 tolerances where the index
 // is rounded — both statically and after a mutation batch. The exact
 // reference never sees the permutation, so any id leak in the remapping
@@ -215,20 +215,19 @@ func TestAccuracyVariants(t *testing.T) {
 		name           string
 		order          string
 		prec           tpa.Precision
-		tile           int
 		slack, massTol float64
 	}{
-		{"degree-f64", "degree", tpa.Float64, 0, 0, 1e-6},
-		{"bfs-f64-tiled", "bfs", tpa.Float64, -1, 0, 1e-6},
-		{"natural-f32", "", tpa.Float32, 0, f32Slack, f32MassTol},
-		{"degree-f32", "degree", tpa.Float32, 0, f32Slack, f32MassTol},
-		{"hubspoke-f32-tiled", "hubspoke", tpa.Float32, -1, f32Slack, f32MassTol},
+		{"degree-f64", "degree", tpa.Float64, 0, 1e-6},
+		{"bfs-f64", "bfs", tpa.Float64, 0, 1e-6},
+		{"natural-f32", "", tpa.Float32, f32Slack, f32MassTol},
+		{"degree-f32", "degree", tpa.Float32, f32Slack, f32MassTol},
+		{"hubspoke-f32", "hubspoke", tpa.Float32, f32Slack, f32MassTol},
 	}
 	seeds := []int{3, 141, 255, 399}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			vo := tpa.Defaults()
-			vo.Order, vo.Precision, vo.Tile = v.order, v.prec, v.tile
+			vo.Order, vo.Precision = v.order, v.prec
 			eng, err := tpa.New(g, vo)
 			if err != nil {
 				t.Fatal(err)
@@ -287,7 +286,7 @@ func TestAccuracyAfterMutationStorm(t *testing.T) {
 	}
 }
 
-// TestAccuracySharded holds scatter-gather engines to the same Theorem-2
+// TestAccuracySharded holds sharded-layout engines to the same Theorem-2
 // guarantees as the baseline, both freshly built and after a TPAM snapshot
 // round trip: the exact reference always runs on the original external-id
 // graph, so any id leak across the shard permutation or the zero-copy

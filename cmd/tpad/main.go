@@ -1,7 +1,7 @@
 // Command tpad builds TPA snapshots and serves queries over HTTP:
 //
 //	tpad build -graph edges.tsv [-o edges.tpas] [-s 5 -t 10 -c 0.15] [-workers 8]
-//	           [-order degree|bfs|hubspoke] [-precision 32] [-tile N]
+//	           [-order degree|bfs|hubspoke] [-precision 32]
 //	tpad serve -graphs snapshots/ [-addr :8080] [-cache 4096] [-max-inflight 256]
 //	tpad serve -graph edges.tsv [-index prebuilt.idx] [...]
 //	tpad mutate -graph name [-add u,v]... [-remove u,v]... [-file f | -watch f]
@@ -75,7 +75,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   tpad build -graph <edges.tsv> [-o <out.tpas>] [-s 5] [-t 10] [-c 0.15] [-eps 1e-9] [-workers N]
-             [-order natural|degree|bfs|hubspoke] [-precision 64|32] [-tile N]
+             [-order natural|degree|bfs|hubspoke] [-precision 64|32]
              [-shards N] [-mmap]
   tpad graphgen -out <edges.tsv[.gz]> [-nodes N] [-communities K] [-avgdeg D] [-pin P]
              [-seed S] [-uniform] [-stream]
@@ -91,12 +91,13 @@ func usage() {
              [-seed 1] [-json out.json] [-quiet]
 
 serving flags: -workers N -cache N -max-inflight N -max-batch N -default-deadline D
-               -c -eps -s -t -order -precision -tile
+               -c -eps -s -t -order -precision
 "tpad -graph ..." without a subcommand is the legacy alias for "tpad serve -graph ...".
 build -mmap writes a memory-mappable .tpam snapshot (zero-copy cold start;
-serve auto-detects it); -shards N builds a scatter-gather engine over N
-community-aligned shards. graphgen writes a synthetic SBM edge list;
--stream generates row-at-a-time in constant memory for very large graphs.
+serve auto-detects it); -shards N lays nodes out in N community-aligned
+shards, recorded as metadata (queries run the unsharded kernel). graphgen
+writes a synthetic SBM edge list; -stream generates row-at-a-time in
+constant memory for very large graphs.
 mutate posts edge batches to a running server's POST /graphs/{name}/edges;
 -watch follows a growing mutation file ("+ u v" / "- u v" lines) until ^C.
 loadgen drives an open-loop Zipf workload against a running server and exits
@@ -111,7 +112,6 @@ func tpaOpts(fs *flag.FlagSet) *tpa.Options {
 	fs.IntVar(&o.T, "t", o.T, "stranger-part start iteration T")
 	fs.StringVar(&o.Order, "order", "", "build-time node ordering: "+strings.Join(tpa.Orders(), "|")+" (node ids stay external)")
 	fs.Var(precFlag{&o.Precision}, "precision", "index storage precision: 64 (default) or 32 (half the index, ~1e-4 accuracy cost)")
-	fs.IntVar(&o.Tile, "tile", 0, "cache-tiled kernel source-tile width in nodes (0 = untiled, -1 = default tile)")
 	return &o
 }
 
@@ -142,7 +142,7 @@ func cmdBuild(args []string) error {
 	graphPath := fs.String("graph", "", "edge-list file (required, .gz supported)")
 	out := fs.String("o", "", "output snapshot file (default: graph path with .tpas extension, .tpam with -mmap)")
 	workers := fs.Int("workers", 0, "goroutines for the preprocessing matvec (0 = all CPUs)")
-	shards := fs.Int("shards", 0, "partition into N community-aligned shards and scatter-gather queries across them (0/1 = unsharded)")
+	shards := fs.Int("shards", 0, "lay nodes out in N community-aligned shards, kept as layout metadata (0/1 = unsharded)")
 	mmapOut := fs.Bool("mmap", false, "write a memory-mappable .tpam snapshot (zero-copy cold start) instead of .tpas")
 	o := tpaOpts(fs)
 	if err := fs.Parse(args); err != nil {

@@ -167,7 +167,11 @@ func (t *TPA) TopKBatch(seeds []int, k, parallelism int) ([][]sparse.Entry, erro
 }
 
 // runBatch runs job(i, scratch) for every index of seeds on a pool of
-// workers, each worker holding one scratch for its whole run.
+// workers, each worker holding one scratch for its whole run. A panic in a
+// job stops only that worker: the others drain the remaining indices, and
+// the first panic value is re-raised on the calling goroutine once all
+// workers have exited, so a server's per-request recovery sees it exactly
+// as if the batch had run inline.
 func (t *TPA) runBatch(seeds []int, parallelism int, job func(i int, sc *queryScratch)) {
 	workers := batchWorkers(parallelism, len(seeds))
 	if workers <= 1 {
@@ -180,20 +184,30 @@ func (t *TPA) runBatch(seeds []int, parallelism int, job func(i int, sc *querySc
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panicOnce sync.Once
+	var panicked any
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panicOnce.Do(func() { panicked = p })
+				}
+			}()
 			sc := t.getScratch()
-			defer t.putScratch(sc)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(seeds) {
-					return
+					break
 				}
 				job(i, sc)
 			}
+			t.putScratch(sc)
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }

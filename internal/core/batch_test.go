@@ -183,3 +183,30 @@ func TestPreprocessParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// panicOp is an operator whose matvec panics, standing in for a kernel
+// that indexes out of range on a corrupt snapshot.
+type panicOp struct{ n int }
+
+func (p panicOp) N() int { return p.n }
+func (p panicOp) MulT(x, y sparse.Vector) sparse.Vector {
+	panic("panicOp: MulT")
+}
+
+// TestRunBatchReraisesWorkerPanic pins that a panic inside a batch worker
+// goroutine surfaces on the caller's goroutine, where net/http's
+// per-request recovery can catch it, instead of killing the process.
+func TestRunBatchReraisesWorkerPanic(t *testing.T) {
+	const n = 8
+	tp, err := NewFromParts(panicOp{n}, cfg(), DefaultParams(), sparse.NewVector(n), nil, Float64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if p := recover(); p != "panicOp: MulT" {
+			t.Fatalf("recovered %v, want the worker's panic value", p)
+		}
+	}()
+	tp.TopKBatch([]int{0, 1, 2, 3, 4, 5}, 3, 2)
+	t.Fatal("TopKBatch returned instead of panicking")
+}

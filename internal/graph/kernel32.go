@@ -1,17 +1,14 @@
 package graph
 
-import (
-	"tpa/internal/sparse"
-)
+import "tpa/internal/sparse"
 
-// Reduced-precision kernels: the same Ãᵀ application as operator.go and
-// parallel.go, over float32 storage. Halving the element size halves the
-// random-access working set of the gather (x[u] and invdeg[u] per in-edge),
-// which is where the hot path spends its time once the vectors outgrow L2 —
-// the "better cache residency" half of the float32 index story. Per-row
-// sums accumulate in float32; the precision loss is covered by the explicit
-// float32 tolerance the accuracy suite asserts on top of the Theorem-2
-// bound.
+// Reduced-precision kernel: the same Ãᵀ scatter as Walk.MulT, over float32
+// storage. Halving the element size halves the random-access working set
+// of the scatter (y[v] per out-edge), which is where the hot path spends
+// its time once the vectors outgrow L2 — the "better cache residency" half
+// of the float32 index story. Sums accumulate in float32; the precision
+// loss is covered by the explicit float32 tolerance the accuracy suite
+// asserts on top of the Theorem-2 bound.
 
 // MulT32 computes y = Ãᵀ·x over float32 storage into the provided buffer y
 // (zeroed first) and returns y. It mirrors MulT exactly, including the
@@ -49,34 +46,4 @@ func (w *Walk) MulT32(x, y sparse.Vector32) sparse.Vector32 {
 		}
 	}
 	return y
-}
-
-// MulTPrep32 is MulTPrep for the float32 kernels: the serial per-matvec
-// prologue reducing the uniform dangling term of x.
-func (w *Walk) MulTPrep32(x sparse.Vector32) float32 {
-	if w.policy != DanglingUniform {
-		return 0
-	}
-	var mass float32
-	for _, u := range w.dangling {
-		mass += x[u]
-	}
-	return mass / float32(w.g.NumNodes())
-}
-
-// MulTBlock32 computes the destination rows y[lo:hi) of y = Ãᵀ·x over
-// float32 storage, gathering over the in-adjacency like MulTBlock. uniform
-// must be the value MulTPrep32 returned for this x. Disjoint blocks share
-// no output entries and can run concurrently.
-func (w *Walk) MulTBlock32(x, y sparse.Vector32, lo, hi int, uniform float32) {
-	for v := lo; v < hi; v++ {
-		var s float32
-		for _, u := range w.g.InNeighbors(v) {
-			s += x[u] * w.invdeg32[u]
-		}
-		if w.policy == DanglingSelfLoop && w.invdeg32[v] == 0 {
-			s += x[v]
-		}
-		y[v] = s + uniform
-	}
 }

@@ -1,22 +1,37 @@
-package graph
+package graph_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"tpa/internal/graph"
+	"tpa/internal/rwr"
 	"tpa/internal/sparse"
 )
 
+// These tests run a Walk's block kernel (MulTPrep/MulTBlock over
+// BlockBounds) the way preprocessing does: fanned out over goroutines by
+// rwr.Sharded. They live in the external test package because rwr imports
+// graph.
+
+func parallelTestGraph(rng *rand.Rand, n, m int) *graph.Graph {
+	b := graph.NewBuilderN(n)
+	for i := 0; i < m; i++ {
+		b.AddEdge(rng.Intn(n), rng.Intn(n))
+	}
+	return b.Build()
+}
+
 func TestParallelWalkMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, policy := range []DanglingPolicy{DanglingSelfLoop, DanglingDrop, DanglingUniform} {
+	for _, policy := range []graph.DanglingPolicy{graph.DanglingSelfLoop, graph.DanglingDrop, graph.DanglingUniform} {
 		for _, workers := range []int{1, 2, 4, 7} {
-			g := randomGraph(rng, 120, 700)
-			serial := NewWalk(g, policy)
-			parallel := NewParallelWalk(g, policy, workers)
-			if parallel.Workers() != workers {
-				t.Fatalf("workers = %d, want %d", parallel.Workers(), workers)
+			g := parallelTestGraph(rng, 120, 700)
+			serial := graph.NewWalk(g, policy)
+			if bounds := serial.BlockBounds(workers); len(bounds) != workers+1 {
+				t.Fatalf("workers = %d, want %d", len(bounds)-1, workers)
 			}
+			parallel := rwr.Sharded(serial, workers)
 			for trial := 0; trial < 5; trial++ {
 				x := sparse.NewVector(120)
 				for i := range x {
@@ -35,8 +50,8 @@ func TestParallelWalkMatchesSerial(t *testing.T) {
 
 func TestParallelWalkDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	g := randomGraph(rng, 200, 1500)
-	w := NewParallelWalk(g, DanglingSelfLoop, 4)
+	g := parallelTestGraph(rng, 200, 1500)
+	w := rwr.Sharded(graph.NewWalk(g, graph.DanglingSelfLoop), 4)
 	x := sparse.NewVector(200)
 	for i := range x {
 		x[i] = rng.Float64()
@@ -49,63 +64,29 @@ func TestParallelWalkDeterministic(t *testing.T) {
 }
 
 func TestParallelWalkDefaultsWorkers(t *testing.T) {
-	g := diamond()
-	w := NewParallelWalk(g, DanglingSelfLoop, 0)
-	if w.Workers() < 1 {
-		t.Fatalf("workers = %d", w.Workers())
+	g := graph.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 0}})
+	w := graph.NewWalk(g, graph.DanglingSelfLoop)
+	if bounds := w.BlockBounds(0); len(bounds)-1 < 1 {
+		t.Fatalf("workers = %d", len(bounds)-1)
 	}
 	// More workers than nodes must clamp.
-	w2 := NewParallelWalk(g, DanglingSelfLoop, 99)
-	if w2.Workers() > g.NumNodes() {
-		t.Fatalf("workers %d exceed nodes", w2.Workers())
+	if bounds := w.BlockBounds(99); len(bounds)-1 > g.NumNodes() {
+		t.Fatalf("workers %d exceed nodes", len(bounds)-1)
 	}
-}
-
-func TestMulTBlockCoversMulT(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, policy := range []DanglingPolicy{DanglingSelfLoop, DanglingDrop, DanglingUniform} {
-		g := randomGraph(rng, 90, 500)
-		w := NewWalk(g, policy)
-		x := sparse.NewVector(90)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := w.MulT(x, sparse.NewVector(90))
-		// Assemble the same product from uneven disjoint blocks.
-		got := sparse.NewVector(90)
-		uniform := w.MulTPrep(x)
-		for _, cut := range [][2]int{{0, 17}, {17, 64}, {64, 90}} {
-			w.MulTBlock(x, got, cut[0], cut[1], uniform)
-		}
+	// Both the GOMAXPROCS default and the clamped count still compute Ãᵀ·x.
+	x := sparse.Vector{0.1, 0.2, 0.3, 0.15, 0.25}
+	want := w.MulT(x, sparse.NewVector(5))
+	for _, workers := range []int{0, 99} {
+		got := rwr.Sharded(w, workers).MulT(x, sparse.NewVector(5))
 		if d := want.L1Dist(got); d > 1e-12 {
-			t.Errorf("policy %v: blockwise MulT deviates by %g", policy, d)
-		}
-	}
-}
-
-func TestBlockBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	g := randomGraph(rng, 200, 2000)
-	w := NewWalk(g, DanglingSelfLoop)
-	for _, workers := range []int{1, 3, 16} {
-		bounds := w.BlockBounds(workers)
-		if len(bounds) != workers+1 {
-			t.Fatalf("workers %d: %d bounds", workers, len(bounds))
-		}
-		if bounds[0] != 0 || bounds[workers] != 200 {
-			t.Fatalf("workers %d: bounds do not cover [0,n): %v", workers, bounds)
-		}
-		for i := 1; i <= workers; i++ {
-			if bounds[i] < bounds[i-1] {
-				t.Fatalf("workers %d: non-monotone bounds %v", workers, bounds)
-			}
+			t.Fatalf("workers %d: parallel deviates by %g", workers, d)
 		}
 	}
 }
 
 func TestParallelWalkTinyGraph(t *testing.T) {
-	g := FromEdges(1, nil) // single isolated node
-	w := NewParallelWalk(g, DanglingSelfLoop, 3)
+	g := graph.FromEdges(1, nil) // single isolated node
+	w := rwr.Sharded(graph.NewWalk(g, graph.DanglingSelfLoop), 3)
 	x := sparse.Vector{1}
 	y := w.MulT(x, sparse.NewVector(1))
 	if y[0] != 1 {

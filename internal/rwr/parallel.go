@@ -34,6 +34,12 @@ type blockBounder interface {
 // (0 means GOMAXPROCS). When op does not implement BlockOperator, or the
 // worker count resolves to 1, op itself is returned — callers can request
 // sharding unconditionally and pay nothing when it does not apply.
+//
+// This is the one place that splits a single matvec across goroutines. It
+// pays on the dense all-seeds passes of preprocessing and reindexing;
+// queries keep the serial scatter kernel, which skips the zeros of their
+// sparse early iterates, and parallelize across queries (core's batch
+// executor) instead.
 func Sharded(op Operator, workers int) Operator {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

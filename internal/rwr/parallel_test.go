@@ -36,6 +36,17 @@ func TestShardedMatchesSerial(t *testing.T) {
 			if d := want.L1Dist(got); d > 1e-12 {
 				t.Errorf("policy %v workers %d: sharded MulT deviates by %g", policy, workers, d)
 			}
+			// Each row is gathered by one goroutine in a fixed order, so
+			// repeated runs agree bit for bit whatever the scheduling.
+			for rep := 0; rep < 3; rep++ {
+				again := op.MulT(x, sparse.NewVector(w.N()))
+				for i := range got {
+					if again[i] != got[i] {
+						t.Fatalf("policy %v workers %d: run %d row %d: %g vs %g",
+							policy, workers, rep, i, again[i], got[i])
+					}
+				}
+			}
 		}
 	}
 }
@@ -54,5 +65,15 @@ func TestShardedFallsBack(t *testing.T) {
 	w := shardTestWalk(t, 63, graph.DanglingSelfLoop)
 	if got := Sharded(w, 1); got != Operator(w) {
 		t.Error("workers=1 should return the operator unchanged")
+	}
+	// More workers than nodes clamp to the node count: a one-node graph
+	// runs unsharded and still applies its dangling self-loop.
+	one := graph.NewWalk(graph.FromEdges(1, nil), graph.DanglingSelfLoop)
+	op1 := Sharded(one, 3)
+	if op1 != Operator(one) {
+		t.Error("workers > n on a one-node graph was wrapped")
+	}
+	if y := op1.MulT(sparse.Vector{1}, sparse.NewVector(1)); y[0] != 1 {
+		t.Errorf("one-node MulT = %v, want [1]", y)
 	}
 }

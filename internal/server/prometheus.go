@@ -152,7 +152,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	// heap when the engine has no layout to speak of); the per-shard series
 	// carry a shard label and appear only for actually sharded engines,
 	// under always-present family headers.
-	graphGauge("tpa_shard_count", "Scatter-gather shards the graph's engine fans queries across (1 = unsharded).",
+	graphGauge("tpa_shard_count", "Community-aligned shards in the graph's node layout (1 = unsharded); queries run the same kernel either way.",
 		func(st *engineState) float64 {
 			if se, ok := st.eng.(shardInfo); ok {
 				return float64(se.NumShards())

@@ -61,10 +61,11 @@ type DeadlineEngine interface {
 	TopKBatchDeadline(ctx context.Context, seeds []int, k, parallelism int) ([][]sparse.Entry, []core.QueryMeta, error)
 }
 
-// shardInfo is the optional capability interface for scatter-gather
-// engines: how many shards queries fan out across and the node/edge split
-// between them. *tpa.Engine implements it (reporting one shard when built
-// unsharded); engines without it are treated as single-shard.
+// shardInfo is the optional capability interface for engines with a
+// sharded node layout: how many community-aligned shards the layout has
+// and the node/edge split between them. *tpa.Engine implements it
+// (reporting one shard when built unsharded); engines without it are
+// treated as single-shard.
 type shardInfo interface {
 	NumShards() int
 	ShardLayout() (nodes []int, edges []int64)

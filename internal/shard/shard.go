@@ -1,20 +1,13 @@
-// Package shard partitions a graph's node set into a fixed number of
-// contiguous ranges and evaluates the random-walk operator by
-// scatter-gather across them: every Ãᵀ application fans out one goroutine
-// per shard, each filling its own destination range, with no cross-shard
-// synchronization beyond the final join. Because graph.Walk's block kernel
-// computes each destination row independently (gathering in-neighbors in
-// ascending order), the sharded product is numerically identical to the
-// per-row serial one regardless of the partition — which is what makes
-// sharded engines agree with unsharded ones to float-summation order.
-//
-// Shards are made contiguous by relabeling: PlanShards runs community-aware
-// label propagation (internal/reorder) capped at the target shard size, then
+// Package shard plans a community-aligned node layout: PlanShards runs
+// label propagation (internal/reorder) capped at the target shard size,
 // merges the resulting parts into exactly Shards balanced groups and lays
-// the groups out consecutively. Queries over the permuted graph therefore
-// keep each shard's working set dense in memory — the same locality argument
-// as reorder-at-build, but with the partition boundaries exported so
-// preprocessing, queries, snapshots and stats all agree on what a shard is.
+// the groups out as consecutive id ranges. The engine relabels its graph
+// with the plan's permutation, so each community's rows sit together in
+// memory — the same locality argument as reorder-at-build — and keeps the
+// range boundaries as layout metadata for snapshots and stats. The shards
+// are not a unit of query execution: queries run the same serial kernel
+// as an unsharded engine, and preprocessing splits its dense matvec over
+// edge-balanced blocks (rwr.Sharded), not over shards.
 package shard
 
 import (
@@ -23,7 +16,6 @@ import (
 
 	"tpa/internal/graph"
 	"tpa/internal/reorder"
-	"tpa/internal/sparse"
 )
 
 // Plan is a sharding of a graph's id space into contiguous ranges after
@@ -143,119 +135,17 @@ func mergeParts(sizes []int, groups int) []int {
 	return group
 }
 
-// Stats describes one shard of an operator: its internal id range and the
-// number of nodes and out-edges it holds.
-type Stats struct {
-	Lo, Hi int
-	Nodes  int
-	Edges  int64
-}
-
-// Operator evaluates a walk's Ãᵀ by scatter-gather over fixed contiguous
-// shard ranges: MulT runs the serial per-matvec prologue once, then one
-// goroutine per shard fills its own destination range with the gather
-// kernel. It implements rwr.Operator and rwr.Operator32 for the query path,
-// and rwr.BlockOperator with BlockBounds returning the shard partition, so
-// rwr.Sharded-driven preprocessing fans out across the same shards.
-type Operator struct {
-	w      *graph.Walk
-	bounds []int
-}
-
-// NewOperator wraps w with the shard partition bounds (ascending from 0 to
-// w.N(), one range per shard).
-func NewOperator(w *graph.Walk, bounds []int) (*Operator, error) {
-	n := w.N()
+// CheckBounds reports whether bounds is a valid shard partition of n nodes:
+// at least one range, ascending, running from 0 to n. Loaders call it on
+// shard bounds read from a file before anything indexes with them.
+func CheckBounds(bounds []int, n int) error {
 	if len(bounds) < 2 || bounds[0] != 0 || bounds[len(bounds)-1] != n {
-		return nil, fmt.Errorf("shard: bounds must run from 0 to %d", n)
+		return fmt.Errorf("shard: bounds must run from 0 to %d", n)
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] < bounds[i-1] {
-			return nil, fmt.Errorf("shard: bounds not ascending at %d", i)
+			return fmt.Errorf("shard: bounds not ascending at %d", i)
 		}
 	}
-	return &Operator{w: w, bounds: bounds}, nil
-}
-
-// N returns the node count.
-func (o *Operator) N() int { return o.w.N() }
-
-// NumShards returns the number of shard ranges.
-func (o *Operator) NumShards() int { return len(o.bounds) - 1 }
-
-// Bounds returns the shard boundaries (aliases internal storage; do not
-// modify).
-func (o *Operator) Bounds() []int { return o.bounds }
-
-// BaseWalk returns the underlying in-memory walk — the capability snapshot
-// writers and method builders look for.
-func (o *Operator) BaseWalk() *graph.Walk { return o.w }
-
-// ShardStats reports each shard's node range and size. Edge counts are
-// out-edges of the shard's nodes, read off the CSR row pointers in O(1)
-// per shard.
-func (o *Operator) ShardStats() []Stats {
-	outPtr, _ := o.w.Graph().RawCSR()
-	stats := make([]Stats, o.NumShards())
-	for i := range stats {
-		lo, hi := o.bounds[i], o.bounds[i+1]
-		stats[i] = Stats{Lo: lo, Hi: hi, Nodes: hi - lo, Edges: outPtr[hi] - outPtr[lo]}
-	}
-	return stats
-}
-
-// MulT computes y = Ãᵀ·x by scatter-gather: the dangling/uniform prologue
-// runs once, then each shard's destination range is filled concurrently.
-func (o *Operator) MulT(x, y sparse.Vector) sparse.Vector {
-	prep := o.w.MulTPrep(x)
-	o.scatter(func(lo, hi int) { o.w.MulTBlock(x, y, lo, hi, prep) })
-	return y
-}
-
-// MulT32 is MulT over float32 storage (rwr.Operator32), so sharded engines
-// keep the reduced-precision online path.
-func (o *Operator) MulT32(x, y sparse.Vector32) sparse.Vector32 {
-	prep := o.w.MulTPrep32(x)
-	o.scatter(func(lo, hi int) { o.w.MulTBlock32(x, y, lo, hi, prep) })
-	return y
-}
-
-// MulTPrep and MulTBlock expose the underlying block kernel
-// (rwr.BlockOperator), letting rwr.Sharded drive preprocessing over the
-// shard partition below.
-func (o *Operator) MulTPrep(x sparse.Vector) float64 { return o.w.MulTPrep(x) }
-
-// MulTBlock fills y[lo:hi) with the gather kernel.
-func (o *Operator) MulTBlock(x, y sparse.Vector, lo, hi int, prep float64) {
-	o.w.MulTBlock(x, y, lo, hi, prep)
-}
-
-// BlockBounds returns the shard partition regardless of the requested
-// worker count: the shards ARE the unit of parallel work, so preprocessing
-// fan-out matches query fan-out.
-func (o *Operator) BlockBounds(workers int) []int { return o.bounds }
-
-// scatter runs fn over every non-empty shard range concurrently and waits.
-func (o *Operator) scatter(fn func(lo, hi int)) {
-	shards := o.NumShards()
-	if shards == 1 {
-		fn(o.bounds[0], o.bounds[1])
-		return
-	}
-	done := make(chan struct{}, shards)
-	live := 0
-	for i := 0; i < shards; i++ {
-		lo, hi := o.bounds[i], o.bounds[i+1]
-		if lo >= hi {
-			continue
-		}
-		live++
-		go func(lo, hi int) {
-			fn(lo, hi)
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for ; live > 0; live-- {
-		<-done
-	}
+	return nil
 }

@@ -1,12 +1,10 @@
 package shard
 
 import (
-	"math"
 	"testing"
 
 	"tpa/internal/gen"
 	"tpa/internal/graph"
-	"tpa/internal/sparse"
 )
 
 // checkPlan asserts the structural contract every Plan consumer relies on:
@@ -159,51 +157,10 @@ func TestMergePartsBalance(t *testing.T) {
 	}
 }
 
-// TestOperatorMatchesWalk pins the numerical crux: the scatter-gather MulT
-// is bit-identical to the base walk's, for any shard bounds, because each
-// destination row is gathered independently in the same order.
-func TestOperatorMatchesWalk(t *testing.T) {
-	g := gen.SBM(gen.SBMConfig{Nodes: 150, Communities: 3, AvgOutDeg: 6, PIn: 0.8, Seed: 13})
-	w := graph.NewWalk(g, graph.DanglingSelfLoop)
-	n := g.NumNodes()
-	x := sparse.NewVector(n)
-	for i := range x {
-		x[i] = 1 / float64(i+2)
-	}
-	want := w.MulT(x, sparse.NewVector(n))
-
-	for _, bounds := range [][]int{
-		{0, n},
-		{0, n / 2, n},
-		{0, 1, 1, 17, n - 1, n}, // empty and tiny shards
-	} {
-		op, err := NewOperator(w, bounds)
-		if err != nil {
-			t.Fatalf("bounds %v: %v", bounds, err)
-		}
-		got := op.MulT(x, sparse.NewVector(n))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("bounds %v: row %d differs: %g vs %g", bounds, i, got[i], want[i])
-			}
-		}
-		// ShardStats must tile the id space and account for every edge.
-		var nodes int
-		var edges int64
-		for _, st := range op.ShardStats() {
-			nodes += st.Nodes
-			edges += st.Edges
-		}
-		if nodes != n || edges != g.NumEdges() {
-			t.Fatalf("bounds %v: stats cover %d nodes / %d edges, want %d / %d",
-				bounds, nodes, edges, n, g.NumEdges())
-		}
-	}
-}
-
-func TestNewOperatorRejectsBadBounds(t *testing.T) {
-	g := gen.ErdosRenyi(20, 60, 2)
-	w := graph.NewWalk(g, graph.DanglingSelfLoop)
+// TestCheckBoundsRejectsBadBounds pins the partition contract the TPAM
+// loader relies on for shard bounds read from a file.
+func TestCheckBoundsRejectsBadBounds(t *testing.T) {
+	const n = 20
 	for _, bounds := range [][]int{
 		nil,
 		{0},
@@ -211,32 +168,18 @@ func TestNewOperatorRejectsBadBounds(t *testing.T) {
 		{0, 10},         // does not end at n
 		{0, 15, 10, 20}, // not ascending
 		{0, -1, 20},     // negative
+		{0, 21, 20},     // beyond n
 	} {
-		if _, err := NewOperator(w, bounds); err == nil {
+		if err := CheckBounds(bounds, n); err == nil {
 			t.Errorf("bounds %v accepted", bounds)
 		}
 	}
-}
-
-// TestOperatorFloat32 mirrors the float64 identity for the f32 path used by
-// Float32-precision engines.
-func TestOperatorFloat32(t *testing.T) {
-	g := gen.SBM(gen.SBMConfig{Nodes: 90, Communities: 3, AvgOutDeg: 5, PIn: 0.8, Seed: 21})
-	w := graph.NewWalk(g, graph.DanglingSelfLoop)
-	n := g.NumNodes()
-	x := sparse.NewVector32(n)
-	for i := range x {
-		x[i] = float32(1 / math.Sqrt(float64(i+2)))
-	}
-	want := w.MulT32(x, sparse.NewVector32(n))
-	op, err := NewOperator(w, []int{0, n / 3, 2 * n / 3, n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := op.MulT32(x, sparse.NewVector32(n))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d differs: %g vs %g", i, got[i], want[i])
+	for _, bounds := range [][]int{
+		{0, n},
+		{0, 0, 7, 7, n}, // empty shards are allowed
+	} {
+		if err := CheckBounds(bounds, n); err != nil {
+			t.Errorf("bounds %v rejected: %v", bounds, err)
 		}
 	}
 }

@@ -14,20 +14,20 @@ import (
 // default as the NB-LIN partitioner.
 const shardLPRounds = 10
 
-// NewSharded is New with the graph partitioned into shards contiguous node
-// ranges that every Ãᵀ application scatter-gathers across: preprocessing
-// and queries fan out one goroutine per shard, each filling only its own
-// destination range. Shard boundaries follow community structure (label
-// propagation, merged into exactly shards balanced groups), so each shard's
-// working set stays dense — node ids remain the caller's, remapped at the
-// API boundary exactly like Options.Order.
+// NewSharded is New with the graph laid out in shards contiguous,
+// community-aligned node ranges: label propagation finds communities, they
+// are merged into exactly shards balanced groups, and the graph is
+// relabeled so each group occupies one id range. Node ids remain the
+// caller's, remapped at the API boundary exactly like Options.Order. The
+// shard boundaries are kept as layout metadata (NumShards, ShardLayout,
+// the TPAM shards section); they do not change how the engine computes.
+// Preprocessing splits its matvec over Options.Workers edge-balanced
+// blocks and queries run the same serial kernel as an unsharded engine,
+// so answers agree with one to float-summation order.
 //
-// Answers agree with an unsharded engine to float-summation order: the
-// gather kernel computes every destination row independently, so the
-// partition changes scheduling, not arithmetic. shards ≤ 1 builds a plain
-// engine. Sharding supplies its own layout, so it cannot combine with
-// Options.Order or Options.Tile, and sharded engines reject ApplyEdges —
-// rebuild to mutate.
+// shards ≤ 1 builds a plain engine. Sharding supplies its own layout, so it
+// cannot combine with Options.Order, and sharded engines reject ApplyEdges
+// — rebuild to mutate.
 func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 	if shards <= 1 {
 		return New(g, o)
@@ -36,9 +36,6 @@ func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 		return nil, fmt.Errorf("tpa: %w", err)
 	} else if ord != reorder.OrderNatural {
 		return nil, fmt.Errorf("tpa: Options.Order %q cannot combine with sharding (the shard plan is the ordering)", o.Order)
-	}
-	if o.Tile != 0 {
-		return nil, fmt.Errorf("tpa: Options.Tile cannot combine with sharding (shards already block the gather)")
 	}
 	cfg, params := o.split()
 	plan, err := shard.PlanShards(g, shards, shardLPRounds)
@@ -54,45 +51,44 @@ func NewSharded(g *Graph, shards int, o Options) (*Engine, error) {
 		inv = graph.InvertPermutation(plan.Perm)
 	}
 	w := graph.NewWalk(pg, graph.DanglingSelfLoop)
-	op, err := shard.NewOperator(w, plan.Bounds)
-	if err != nil {
-		return nil, fmt.Errorf("tpa: sharding: %w", err)
-	}
-	tp, err := core.PreprocessParallel(op, cfg, params, o.Workers)
+	tp, err := core.PreprocessParallel(w, cfg, params, o.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("tpa: preprocessing: %w", err)
 	}
 	if err := tp.SetPrecision(o.Precision); err != nil {
 		return nil, fmt.Errorf("tpa: %w", err)
 	}
-	e := &Engine{tpa: tp, walk: w, shardOp: op, workers: o.Workers,
+	e := &Engine{tpa: tp, walk: w, shardBounds: plan.Bounds, workers: o.Workers,
 		perm: plan.Perm, inv: inv}
 	e.applyMutationOpts(o)
 	return e, nil
 }
 
-// NumShards returns the number of scatter-gather shards the engine fans
-// queries across: 1 for unsharded engines.
+// NumShards returns the number of shards in the engine's node layout: 1
+// for unsharded engines.
 func (e *Engine) NumShards() int {
-	if e.shardOp == nil {
+	if e.shardBounds == nil {
 		return 1
 	}
-	return e.shardOp.NumShards()
+	return len(e.shardBounds) - 1
 }
 
 // ShardLayout returns per-shard node and out-edge counts (indexed by shard),
 // or nil for unsharded engines. For introspection, stats endpoints and
-// tests; the counts describe the internal (shard-contiguous) layout.
+// tests; the counts describe the internal (shard-contiguous) layout and are
+// read off the CSR row pointers in O(1) per shard.
 func (e *Engine) ShardLayout() (nodes []int, edges []int64) {
-	if e.shardOp == nil {
+	if e.shardBounds == nil {
 		return nil, nil
 	}
-	stats := e.shardOp.ShardStats()
-	nodes = make([]int, len(stats))
-	edges = make([]int64, len(stats))
-	for i, s := range stats {
-		nodes[i] = s.Nodes
-		edges[i] = s.Edges
+	outPtr, _ := e.walk.Graph().RawCSR()
+	k := len(e.shardBounds) - 1
+	nodes = make([]int, k)
+	edges = make([]int64, k)
+	for i := range nodes {
+		lo, hi := e.shardBounds[i], e.shardBounds[i+1]
+		nodes[i] = hi - lo
+		edges[i] = outPtr[hi] - outPtr[lo]
 	}
 	return nodes, edges
 }

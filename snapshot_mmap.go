@@ -56,10 +56,15 @@ import (
 // path. Any corruption — headers, adjacency, numeric payloads — fails
 // typed with ErrBadSnapshot. What this deliberately does not defend
 // against is an adversary who rewrites a section and its checksum; such a
-// file can make a later query index out of range and panic (Go bounds
-// checks make that a failed request, not memory corruption). Callers
-// needing structural proof of a file of unknown provenance can still run
-// Graph.Validate on the loaded engine's arrays.
+// file can make a later query index out of range and panic. Go's bounds
+// checks keep that from being memory corruption, and the panic always
+// reaches the goroutine that called the engine: single queries run on it,
+// and batch workers' panics are re-raised on it by core.runBatch. Under
+// net/http that goroutine is the request's handler, whose panic the server
+// recovers by dropping that one connection, so a forged file fails
+// requests rather than stopping tpad. Callers needing structural proof of
+// a file of unknown provenance can still run Graph.Validate on the loaded
+// engine's arrays.
 const (
 	mmapSecMeta       = 1
 	mmapSecOutPtr     = 2
@@ -132,10 +137,9 @@ func (e *Engine) SaveSnapshotMmap(path string) error {
 	if e.perm != nil {
 		w.I32s(mmapSecPerm, e.perm)
 	}
-	if e.shardOp != nil {
-		bounds := e.shardOp.Bounds()
-		b64 := make([]int64, len(bounds))
-		for i, b := range bounds {
+	if e.shardBounds != nil {
+		b64 := make([]int64, len(e.shardBounds))
+		for i, b := range e.shardBounds {
 			b64[i] = int64(b)
 		}
 		w.I64s(mmapSecShards, b64)
@@ -273,24 +277,22 @@ func engineFromMmap(s *mmapio.Snapshot) (*Engine, error) {
 		return nil, binio.Errf("%v", err)
 	}
 
-	var op rwr.Operator = walk
-	var sop *shard.Operator
+	var shardBounds []int
 	if s.Has(mmapSecShards) {
 		b64, err := s.I64s(mmapSecShards)
 		if err != nil {
 			return nil, err
 		}
-		bounds := make([]int, len(b64))
+		shardBounds = make([]int, len(b64))
 		for i, b := range b64 {
 			if b < 0 || b > int64(n) {
 				return nil, binio.Errf("shard bound %d outside [0,%d]", b, n)
 			}
-			bounds[i] = int(b)
+			shardBounds[i] = int(b)
 		}
-		if sop, err = shard.NewOperator(walk, bounds); err != nil {
+		if err := shard.CheckBounds(shardBounds, n); err != nil {
 			return nil, binio.Errf("%v", err)
 		}
-		op = sop
 	}
 
 	stranger, err := s.F64s(mmapSecStranger)
@@ -303,7 +305,7 @@ func engineFromMmap(s *mmapio.Snapshot) (*Engine, error) {
 			return nil, err
 		}
 	}
-	tp, err := core.NewFromParts(op, cfg, params, stranger, stranger32, prec, preIters)
+	tp, err := core.NewFromParts(walk, cfg, params, stranger, stranger32, prec, preIters)
 	if err != nil {
 		return nil, binio.Errf("%v", err)
 	}
@@ -319,7 +321,7 @@ func engineFromMmap(s *mmapio.Snapshot) (*Engine, error) {
 		inv = graph.InvertPermutation(perm)
 	}
 
-	e := &Engine{tpa: tp, walk: walk, shardOp: sop, perm: perm, inv: inv, snap: s}
+	e := &Engine{tpa: tp, walk: walk, shardBounds: shardBounds, perm: perm, inv: inv, snap: s}
 	e.applyMutationOpts(Options{})
 	return e, nil
 }

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"tpa/internal/mmapio"
 )
 
 // queriesAgree fails unless a and b answer every probe seed within tol,
@@ -83,6 +86,11 @@ func TestMmapSnapshotRoundTrip(t *testing.T) {
 			if loaded.NumShards() != eng.NumShards() {
 				t.Fatalf("shards %d, want %d", loaded.NumShards(), eng.NumShards())
 			}
+			ln, le := loaded.ShardLayout()
+			en, ee := eng.ShardLayout()
+			if !reflect.DeepEqual(ln, en) || !reflect.DeepEqual(le, ee) {
+				t.Fatalf("shard layout %v/%v, want %v/%v", ln, le, en, ee)
+			}
 			queriesAgree(t, tc.name, eng, loaded, seeds, 0)
 
 			// The sniffing loader must take the mmap path for .tpam files.
@@ -130,7 +138,7 @@ func TestMmapEngineRestrictions(t *testing.T) {
 }
 
 // TestShardedEngineEquivalence is the sharded-correctness crux: for shard
-// counts 1, 2 and 7 the scatter-gather engine must agree with the plain
+// counts 1, 2 and 7 the sharded-layout engine must agree with the plain
 // engine element-wise to 1e-12 in external id space — the shard plan
 // relabels nodes, so any leak of internal ids would misroute whole scores.
 func TestShardedEngineEquivalence(t *testing.T) {
@@ -187,6 +195,70 @@ func TestShardedEngineEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMmapRejectsBadShardBounds pins the loader's check on the shards
+// section: a file whose checksums are all valid but whose shard bounds
+// descend must fail typed with ErrBadSnapshot, not load into an engine
+// whose ShardLayout would index out of range.
+func TestMmapRejectsBadShardBounds(t *testing.T) {
+	g := RandomSBMGraph(200, 4, 5, 0.9, 17)
+	eng, err := NewSharded(g, 3, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.tpam")
+	if err := eng.SaveSnapshotMmap(good); err != nil {
+		t.Fatal(err)
+	}
+	s, err := mmapio.Open(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Copy every section of the valid file, then replace the shard bounds.
+	w := mmapio.NewWriter()
+	meta, err := s.Bytes(mmapSecMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Bytes(mmapSecMeta, meta)
+	for _, id := range []uint32{mmapSecOutPtr, mmapSecInPtr} {
+		v, err := s.I64s(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.I64s(id, v)
+	}
+	for _, id := range []uint32{mmapSecOutIdx, mmapSecInIdx, mmapSecDangling, mmapSecPerm} {
+		v, err := s.I32s(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.I32s(id, v)
+	}
+	for _, id := range []uint32{mmapSecInvDeg, mmapSecStranger} {
+		v, err := s.F64s(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.F64s(id, v)
+	}
+	inv32, err := s.F32s(mmapSecInvDeg32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.F32s(mmapSecInvDeg32, inv32)
+	n := int64(g.NumNodes())
+	w.I64s(mmapSecShards, []int64{0, 2 * n / 3, n / 3, n})
+	bad := filepath.Join(dir, "bad.tpam")
+	if err := w.WriteFile(bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshotMmap(bad); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("descending shard bounds: %v, want ErrBadSnapshot", err)
 	}
 }
 
